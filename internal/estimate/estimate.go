@@ -18,7 +18,6 @@ package estimate
 import (
 	"fmt"
 
-	"netcut/internal/graph"
 	"netcut/internal/profiler"
 	"netcut/internal/trim"
 )
@@ -52,23 +51,19 @@ func (e *ProfilerEstimator) Name() string { return "profiler" }
 //	Latency(TRN_n) = Latency(Net_0) * (1 - sum(removed) / sum(all))
 //
 // where the sums run over the parent's feature layers (classification
-// layers excluded) in the profiled table.
+// layers excluded) in the profiled table. The parent-wide sum is
+// memoized on the table (profiler.Table.FeatureSumMs), so only the
+// removed layers are summed per candidate.
 func (e *ProfilerEstimator) EstimateMs(t *trim.TRN) (float64, error) {
 	tbl, ok := e.tables[t.Parent.Name]
 	if !ok {
 		return 0, fmt.Errorf("estimate: no profile table for %q", t.Parent.Name)
 	}
-	var all, removed float64
-	for _, n := range t.Parent.Nodes {
-		if n.Head || n.Kind == graph.OpInput {
-			continue
-		}
-		ms, ok := tbl.LayerMs(n.ID)
-		if !ok {
-			return 0, fmt.Errorf("estimate: table for %q missing layer %d", t.Parent.Name, n.ID)
-		}
-		all += ms
+	all, missing, ok := tbl.FeatureSumMs(t.Parent)
+	if !ok {
+		return 0, fmt.Errorf("estimate: table for %q missing layer %d", t.Parent.Name, missing)
 	}
+	var removed float64
 	for _, id := range t.RemovedIDs {
 		ms, ok := tbl.LayerMs(id)
 		if !ok {

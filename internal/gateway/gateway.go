@@ -553,9 +553,9 @@ type Gateway struct {
 	// once when the drain starts; the Retry-After hint drain rejections
 	// carry is the remaining budget, not a hardcoded constant.
 	drainDeadline atomic.Int64
-	stop          chan struct{} // closed when the drain starts: background loops exit
-	pending   sync.WaitGroup // queued, not yet delivered calls
-	workers   sync.WaitGroup
+	stop          chan struct{}  // closed when the drain starts: background loops exit
+	pending       sync.WaitGroup // queued, not yet delivered calls
+	workers       sync.WaitGroup
 	// background tracks the gateway-owned background goroutines —
 	// autosave loop, prewarm sweeps, health probes — so Shutdown can
 	// wait for them to wind down (no save left mid-write, no tmp file
@@ -693,7 +693,7 @@ func New(cfg Config) (*Gateway, error) {
 			"allow_degraded requests served from a fallback device instead of being rejected"),
 		traceSampledOut: reg.Counter("netcut_gateway_trace_sampled_out_total",
 			"completed traces dropped from the /debug/trace ring by brownout sampling"),
-		mem: &telemetry.MemSampler{},
+		mem:          &telemetry.MemSampler{},
 		requestLatMs: reg.Histogram("netcut_gateway_request_ms", "wall-clock request latency of admitted plan requests", nil),
 		cancelledLatMs: reg.Histogram("netcut_gateway_request_cancelled_lat_ms",
 			"wall-clock latency of admitted plan requests cancelled by client disconnect before delivery", nil),
@@ -1325,14 +1325,17 @@ func (g *Gateway) admitOn(dec *decodedRequest, planner *serve.Planner, shedCheck
 	// coalescing identity (dec.key was computed before it existed).
 	c.req.Trace = c.notePhase
 	c.waiters.Store(1) // the leader
+	// The enqueue mark's clock read sets the trace cursor to the instant
+	// admission hands the call off — where the queue-wait span stitched
+	// in after delivery begins. It is read before the send: once the
+	// call is on the queue a worker may start executing it before this
+	// goroutine runs again.
+	handoff := time.Now()
 	select {
 	case l.queue <- c:
 		g.inflight[dec.key] = c
 		g.pending.Add(1)
-		// The enqueue mark's clock read sets the trace cursor to the
-		// instant admission handed the call off — where the queue-wait
-		// span stitched in after delivery begins.
-		tr.Mark(stageEnqueue, verdictOK)
+		tr.MarkAt(handoff, stageEnqueue, verdictOK)
 		return c, nil
 	default:
 		tr.Mark(stageEnqueue, "full")

@@ -401,6 +401,16 @@ func EncodeGraph(g *graph.Graph) *GraphWire {
 	return w
 }
 
+// DecodeGraph is the server half of EncodeGraph: it converts a wire
+// graph into a validated graph.Graph exactly as POST /v1/plan does.
+func DecodeGraph(w *GraphWire) (*graph.Graph, error) {
+	g, aerr := decodeGraph(w)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return g, nil
+}
+
 // decodeGraph converts the wire schema to a graph.Graph. Structural
 // soundness is graph.Validate's job; this only rejects what Validate
 // cannot see from the assembled struct (unknown operator names, bad
@@ -471,37 +481,23 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 	return g, nil
 }
 
-// zooCache shares one graph instance (and one fingerprint) per
-// calibrated name across all shorthand requests: zoo graphs are
-// immutable once built, and rebuilding ResNet-50's several hundred
-// nodes per request would dominate the warm-path decode cost and
-// stagger otherwise-coalescable arrivals.
-var zooCache sync.Map // name -> zooEntry
-
-type zooEntry struct {
-	g     *graph.Graph
-	print uint64
-}
+// zooCache shares one graph instance per calibrated name across all
+// shorthand requests: zoo graphs are immutable once built (so their
+// memoized fingerprint is shared too), and rebuilding ResNet-50's
+// several hundred nodes per request would dominate the warm-path
+// decode cost and stagger otherwise-coalescable arrivals.
+var zooCache sync.Map // name -> *graph.Graph
 
 func zooGraph(name string) (*graph.Graph, error) {
-	if e, ok := zooCache.Load(name); ok {
-		return e.(zooEntry).g, nil
+	if g, ok := zooCache.Load(name); ok {
+		return g.(*graph.Graph), nil
 	}
 	g, err := zoo.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	e, _ := zooCache.LoadOrStore(name, zooEntry{g: g, print: graph.Fingerprint(g)})
-	return e.(zooEntry).g, nil
-}
-
-// fingerprintOf returns the request graph's structural fingerprint,
-// served from the zoo cache for shorthand requests.
-func fingerprintOf(g *graph.Graph) uint64 {
-	if e, ok := zooCache.Load(g.Name); ok && e.(zooEntry).g == g {
-		return e.(zooEntry).print
-	}
-	return graph.Fingerprint(g)
+	e, _ := zooCache.LoadOrStore(name, g)
+	return e.(*graph.Graph), nil
 }
 
 // decodedRequest is a parsed, validated plan request plus the identity
@@ -616,7 +612,7 @@ func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
 		allowDegraded: wire.AllowDegraded,
 		key: coalesceKey{
 			name:      g.Name,
-			print:     fingerprintOf(g),
+			print:     graph.Fingerprint(g),
 			deadline:  deadline,
 			estimator: wire.Estimator,
 		},
@@ -633,8 +629,8 @@ type DeviceWire struct {
 	// Healthy is the fault-containment state "auto" routing reads: false
 	// while repeated panics or watchdog abandons have tripped the device
 	// and its background probe has not yet restored it.
-	Healthy          bool   `json:"healthy"`
-	Precision        string `json:"precision"`
+	Healthy          bool    `json:"healthy"`
+	Precision        string  `json:"precision"`
 	PeakMACs         float64 `json:"peak_macs"`
 	MemBandwidth     float64 `json:"mem_bandwidth_bytes"`
 	LaunchOverheadMs float64 `json:"launch_overhead_ms"`

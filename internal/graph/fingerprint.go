@@ -36,10 +36,24 @@ func (h Hash64) Sum() uint64 { return uint64(h) }
 // execute identically, profile identically (per-layer row names
 // included) and cut identically, which is what lets the device,
 // profiler and trim layers memoize per structure instead of per
-// object. Graphs are immutable once built (see the Graph doc);
-// mutating a graph after it has been fingerprinted would poison those
-// caches.
+// object. The hash is computed once per graph and memoized on it, so
+// repeated lookups (one per cut-cache probe in Algorithm 1's inner
+// loop) cost an atomic load. Graphs are immutable once built (see the
+// Graph doc); mutating a graph after it has been fingerprinted would
+// leave a stale memo and poison those caches.
 func Fingerprint(g *Graph) uint64 {
+	if v := g.print.Load(); v != 0 {
+		return v
+	}
+	// Concurrent first calls compute the same value; either store wins.
+	// A structure that hashes to 0 is simply never memoized.
+	v := fingerprint(g)
+	g.print.Store(v)
+	return v
+}
+
+// fingerprint computes the structural hash Fingerprint memoizes.
+func fingerprint(g *Graph) uint64 {
 	h := NewHash()
 	mix := func(v uint64) { h = h.Mix(v) }
 	str := func(s string) { h = h.MixString(s) }

@@ -10,7 +10,10 @@
 // — 94 layers removed — are directly comparable to the paper's.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // OpKind identifies the operator a Node performs.
 type OpKind int
@@ -146,12 +149,24 @@ type Block struct {
 
 // Graph is an immutable-after-build directed acyclic layer graph in
 // topological order (Nodes[i].Inputs all have ID < i).
+//
+// Immutability is a contract, not a convention: a graph memoizes its
+// structural Fingerprint on first use, and every structure-keyed cache
+// downstream (device plans, profiler tables, cuts) trusts that memo.
+// Build a graph completely — Builder.Finish, SubgraphBuilder, or
+// assembling the struct and passing it to Validate — and name it
+// before anything fingerprints it; never write to it afterwards. A
+// Graph must not be copied by value either (go vet flags copies of the
+// atomic memo): share it by pointer.
 type Graph struct {
 	Name       string
 	InputShape Shape
 	NumClasses int
 	Nodes      []*Node
 	Blocks     []Block
+
+	// print memoizes Fingerprint; 0 means not yet computed.
+	print atomic.Uint64
 }
 
 // Node returns the node with the given ID.

@@ -45,7 +45,7 @@ func ReadCSV(network string, r io.Reader) (*Table, error) {
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("profiler: csv too short")
 	}
-	t := &Table{Network: network, byID: map[int]int{}}
+	t := &Table{Network: network}
 	for _, rec := range rows[1:] {
 		if len(rec) != 4 {
 			return nil, fmt.Errorf("profiler: csv row has %d fields", len(rec))
@@ -62,11 +62,13 @@ func ReadCSV(network string, r io.Reader) (*Table, error) {
 			t.EndToEndMs = ms
 			continue
 		}
-		t.byID[id] = len(t.Layers)
 		t.Layers = append(t.Layers, LayerStat{NodeID: id, Name: rec[1], MeanMs: ms})
 	}
 	if t.EndToEndMs == 0 {
 		return nil, fmt.Errorf("profiler: csv missing end_to_end summary row")
+	}
+	if err := t.indexLayers(); err != nil {
+		return nil, fmt.Errorf("profiler: csv: %w", err)
 	}
 	return t, nil
 }

@@ -50,6 +50,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,zzz\n-1,end_to_end,,1\n",
 		"no summary":   "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n",
 		"wrong fields": "node_id,name,kind\n1,conv,Conv\n",
+		"duplicate id": "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n1,relu,ReLU,0.1\n-1,end_to_end,,1\n",
+		"huge id":      "node_id,name,kind,mean_ms\n1099511627776,conv,Conv,0.1\n-1,end_to_end,,1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV("x", strings.NewReader(in)); err == nil {

@@ -10,9 +10,11 @@
 package profiler
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"sync/atomic"
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
@@ -65,8 +67,40 @@ type Table struct {
 	// EndToEndMs is the mean plain (non-instrumented) latency measured
 	// under the same protocol.
 	EndToEndMs float64
-	// byID indexes Layers by graph node ID.
-	byID map[int]int
+	// pos indexes Layers densely by graph node ID: pos[id]-1 is node
+	// id's row, 0 marks a node with no row. Profiled rows cover every
+	// non-input node, so the index is one slot longer than Layers.
+	pos []int32
+	// featSum memoizes FeatureSumMs for the last structure asked about.
+	featSum atomic.Pointer[featureSum]
+}
+
+// featureSum is one memoized FeatureSumMs result.
+type featureSum struct {
+	print uint64 // graph.Fingerprint of the summed graph
+	ms    float64
+}
+
+// ErrInvalidTable marks a table rejected while rebuilding its node
+// index from untrusted rows (a snapshot or CSV): a node ID out of range
+// or listed twice. Branch on it with errors.Is.
+var ErrInvalidTable = errors.New("invalid table")
+
+// indexLayers builds t's dense node index. Every NodeID must lie in
+// [0, len(Layers)] — the range a profiled table covers — so a hostile
+// row cannot size the allocation, and must be unique.
+func (t *Table) indexLayers() error {
+	t.pos = make([]int32, len(t.Layers)+1)
+	for i, l := range t.Layers {
+		if l.NodeID < 0 || l.NodeID >= len(t.pos) {
+			return fmt.Errorf("%w: node %d out of range [0,%d]", ErrInvalidTable, l.NodeID, len(t.Layers))
+		}
+		if t.pos[l.NodeID] != 0 {
+			return fmt.Errorf("%w: duplicate node %d", ErrInvalidTable, l.NodeID)
+		}
+		t.pos[l.NodeID] = int32(i + 1)
+	}
+	return nil
 }
 
 // SumMs returns the sum of per-layer mean latencies; due to event
@@ -82,11 +116,35 @@ func (t *Table) SumMs() float64 {
 // LayerMs returns the mean latency of the layer with the given graph
 // node ID and whether it is present.
 func (t *Table) LayerMs(nodeID int) (float64, bool) {
-	i, ok := t.byID[nodeID]
-	if !ok {
+	if nodeID < 0 || nodeID >= len(t.pos) || t.pos[nodeID] == 0 {
 		return 0, false
 	}
-	return t.Layers[i].MeanMs, true
+	return t.Layers[t.pos[nodeID]-1].MeanMs, true
+}
+
+// FeatureSumMs returns the summed mean latency of g's feature layers
+// (every node that is neither the input nor a head layer), added in
+// node order: the denominator of Eq. (1). If a feature layer has no row
+// it returns that node's ID and false. The sum is memoized per table
+// for the last structure asked about (by graph.Fingerprint), so the
+// per-candidate estimates of one exploration sum their parent once.
+func (t *Table) FeatureSumMs(g *graph.Graph) (ms float64, missing int, ok bool) {
+	print := graph.Fingerprint(g)
+	if m := t.featSum.Load(); m != nil && m.print == print {
+		return m.ms, 0, true
+	}
+	for _, n := range g.Nodes {
+		if n.Head || n.Kind == graph.OpInput {
+			continue
+		}
+		l, ok := t.LayerMs(n.ID)
+		if !ok {
+			return 0, n.ID, false
+		}
+		ms += l
+	}
+	t.featSum.Store(&featureSum{print: print, ms: ms})
+	return ms, 0, true
 }
 
 // Profiler measures networks on a device.
@@ -246,17 +304,18 @@ func (p *Profiler) profile(g *graph.Graph) *Table {
 		Network:    g.Name,
 		EndToEndMs: endToEnd / float64(p.proto.TimedRuns),
 		Layers:     make([]LayerStat, 0, len(rows)),
-		byID:       make(map[int]int, len(rows)),
 	}
 	for ri := range rows {
 		r := &rows[ri]
-		tbl.byID[r.NodeID] = len(tbl.Layers)
 		tbl.Layers = append(tbl.Layers, LayerStat{
 			NodeID: r.NodeID,
 			Name:   r.Name,
 			Kind:   r.Kind,
 			MeanMs: sums[ri] / float64(p.proto.TimedRuns),
 		})
+	}
+	if err := tbl.indexLayers(); err != nil {
+		panic(err) // the device profiles each non-input node exactly once
 	}
 	return tbl
 }

@@ -308,3 +308,33 @@ func TestPlannerRejectsNameCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlannerWarmSelectAllocs pins the warm planner pass's allocation
+// count: with every structure-keyed cache hot, a Select re-derives no
+// identity — the fingerprint, the retraining noise draw and the Eq. (1)
+// denominator are all memoized — so what remains is the response and
+// per-candidate bookkeeping. A per-call fingerprint hash is free of
+// allocations and would not show here, but a per-call generator seed
+// (rand.NewSource) or a table index rebuilt per request would.
+func TestPlannerWarmSelectAllocs(t *testing.T) {
+	p, err := New(Config{Seed: 1, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := zoo.ByName("ResNet-50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Graph: g, DeadlineMs: 0.9}
+	if _, err := p.Select(req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := p.Select(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("warm Select allocates %.0f objects/op, want <= 16", allocs)
+	}
+}

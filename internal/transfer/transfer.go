@@ -225,26 +225,37 @@ type Result struct {
 }
 
 // Simulator produces retraining results for TRNs. It is safe for
-// concurrent use: the profile table and boundary memos are guarded by
-// one mutex, and every result is a pure function of (seed, network,
-// cut), so concurrent callers in any interleaving observe the same
-// accuracies a serial run would.
+// concurrent use: the profile table, noise and boundary memos are
+// guarded by one mutex, and every result is a pure function of (seed,
+// network, cut), so concurrent callers in any interleaving observe the
+// same accuracies a serial run would.
 type Simulator struct {
 	cost TrainCost
 	seed int64
 
 	mu         sync.Mutex
-	profiles   map[string]*Profile
+	profiles   map[string]*profileEntry
 	boundaries map[string][]int // cumulative layers removed per blockwise cutpoint
+}
+
+// profileEntry is one network's response curve plus its memoized
+// retraining noise. The noise draw is a pure function of (seed,
+// network, layers removed), so the memo is exact; it sits beside the
+// profile it perturbs and so grows no faster than the profile table.
+type profileEntry struct {
+	p     *Profile
+	draws map[int]float64 // layers removed -> standard-normal draw; guarded by Simulator.mu
 }
 
 // NewSimulator returns a Simulator over the paper profiles plus the
 // extended-zoo profiles, with the K20m cost model. The seed fixes the
 // retraining-noise stream.
 func NewSimulator(seed int64) *Simulator {
-	profiles := PaperProfiles()
-	for k, v := range ExtensionProfiles() {
-		profiles[k] = v
+	profiles := map[string]*profileEntry{}
+	for _, set := range []map[string]*Profile{PaperProfiles(), ExtensionProfiles()} {
+		for k, v := range set {
+			profiles[k] = &profileEntry{p: v}
+		}
 	}
 	return &Simulator{
 		profiles:   profiles,
@@ -260,14 +271,14 @@ func (s *Simulator) Cost() TrainCost { return s.cost }
 // SetCost overrides the training cost model.
 func (s *Simulator) SetCost(c TrainCost) { s.cost = c }
 
-func (s *Simulator) profile(network string) (*Profile, error) {
+func (s *Simulator) profile(network string) (*profileEntry, error) {
 	s.mu.Lock()
-	p, ok := s.profiles[network]
+	e, ok := s.profiles[network]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("transfer: no profile for network %q", network)
 	}
-	return p, nil
+	return e, nil
 }
 
 // HasProfile reports whether the simulator knows a response curve for
@@ -288,7 +299,7 @@ func (s *Simulator) RegisterProfile(p *Profile) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.profiles[p.Network] = p
+	s.profiles[p.Network] = &profileEntry{p: p}
 	return nil
 }
 
@@ -352,21 +363,36 @@ func (s *Simulator) blockBoundaries(t *trim.TRN) ([]int, error) {
 
 // noise returns the deterministic retraining perturbation for a TRN:
 // same (seed, network, layers removed) always trains to the same
-// accuracy, mimicking a fixed training seed.
-func (s *Simulator) noise(network string, removed int, sigma float64) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", s.seed, network, removed)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return sigma * rng.NormFloat64()
+// accuracy, mimicking a fixed training seed. The standard-normal draw
+// is memoized per entry — seeding its generator costs far more than
+// the rest of a retrain — and scaled by the profile's TrainNoise after
+// the lookup.
+func (s *Simulator) noise(e *profileEntry, removed int) float64 {
+	s.mu.Lock()
+	z, ok := e.draws[removed]
+	s.mu.Unlock()
+	if !ok {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%s|%d", s.seed, e.p.Network, removed)
+		z = rand.New(rand.NewSource(int64(h.Sum64()))).NormFloat64()
+		s.mu.Lock()
+		if e.draws == nil {
+			e.draws = map[int]float64{}
+		}
+		e.draws[removed] = z
+		s.mu.Unlock()
+	}
+	return e.p.TrainNoise * z
 }
 
 // Accuracy returns the retrained accuracy of a TRN without the cost
 // accounting.
 func (s *Simulator) Accuracy(t *trim.TRN) (float64, error) {
-	p, err := s.profile(t.Parent.Name)
+	e, err := s.profile(t.Parent.Name)
 	if err != nil {
 		return 0, err
 	}
+	p := e.p
 	r := t.LayersRemoved
 	var acc float64
 	if t.Cutpoint >= 0 {
@@ -381,7 +407,7 @@ func (s *Simulator) Accuracy(t *trim.TRN) (float64, error) {
 		}
 		acc = s.partialBlockAccuracy(p, bounds, r)
 	}
-	acc += s.noise(t.Parent.Name, r, p.TrainNoise)
+	acc += s.noise(e, r)
 	return clamp01(acc), nil
 }
 
@@ -440,11 +466,11 @@ func (s *Simulator) Retrain(t *trim.TRN) (Result, error) {
 // OffTheShelfAccuracy returns the accuracy of a network after standard
 // transfer learning with no layers removed (the y-axis of Fig. 1).
 func (s *Simulator) OffTheShelfAccuracy(network string) (float64, error) {
-	p, err := s.profile(network)
+	e, err := s.profile(network)
 	if err != nil {
 		return 0, err
 	}
-	return clamp01(p.Points[0].Accuracy + s.noise(network, 0, p.TrainNoise)), nil
+	return clamp01(e.p.Points[0].Accuracy + s.noise(e, 0)), nil
 }
 
 func clamp01(v float64) float64 {

@@ -60,10 +60,10 @@ type TRN struct {
 	RemovedIDs []int
 }
 
-// Name returns the paper-style label, e.g. "ResNet-50/94".
-func (t *TRN) Name() string {
-	return fmt.Sprintf("%s/%d", t.Parent.Name, t.LayersRemoved)
-}
+// Name returns the paper-style label, e.g. "ResNet-50/94": the parent's
+// name and the feature layers removed. The trimmed graph is built under
+// this name, so it is read from there.
+func (t *TRN) Name() string { return t.Graph.Name }
 
 // cutKey identifies one memoized cut: the parent graph (by structural
 // fingerprint, so the cache is bounded by the number of distinct
@@ -251,7 +251,9 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 		removed = append(removed, n.ID)
 	}
 
-	b, last := graph.SubgraphBuilder("", g, keep, head.Classes)
+	// The TRN graph is named before Finish: graphs are immutable once
+	// built (their fingerprint is memoized on first use).
+	b, last := graph.SubgraphBuilder(fmt.Sprintf("%s/%d", g.Name, len(removed)), g, keep, head.Classes)
 	b.BeginHead()
 	x := b.GlobalAvgPool(last)
 	x = b.Dense(x, head.Hidden1)
@@ -272,7 +274,6 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 		LayersRemoved: len(removed),
 		RemovedIDs:    removed,
 	}
-	ng.Name = trn.Name()
 	return trn, nil
 }
 
