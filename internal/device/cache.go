@@ -12,9 +12,13 @@ import (
 // per-kernel row templates that profiled inference charges fused layers
 // with. Everything here is loop-invariant across measurement runs, so a
 // Session computes none of it — the 200-warm-up/800-run protocol
-// touches only the noise stream. planInfo holds no reference to the
-// graph it was built from, which is what lets the pointer-level cache
-// below use weak keys.
+// touches only the noise stream. Warm-up runs (Session.Skip) read only
+// the kernel count, to draw the same noise a timed run would; profiled
+// runs (Session.AccumulateProfiled) read each row's share and add its
+// time into the caller's per-row sums, so rows are accumulated, never
+// materialized per run. planInfo holds no reference to the graph it
+// was built from, which is what lets the pointer-level cache below use
+// weak keys.
 type planInfo struct {
 	key      uint64    // the structural fingerprint this plan is cached under
 	baseMs   []float64 // per-kernel steady-state latency (KernelTimeMs)

@@ -23,8 +23,9 @@ import (
 // functions of (config, structure), so eviction is transparent.
 type Device struct {
 	cfg     Config
-	print   uint64   // cfg.Fingerprint(), folded into every plan key
-	byPtr   sync.Map // weak.Pointer[graph.Graph] -> *planInfo, self-evicting
+	print   uint64    // cfg.Fingerprint(), folded into every plan key
+	cold    []float64 // warm-up factor per run index (coldTable)
+	byPtr   sync.Map  // weak.Pointer[graph.Graph] -> *planInfo, self-evicting
 	byPrint *lru.Cache[uint64, *planInfo]
 }
 
@@ -59,6 +60,7 @@ func NewChecked(cfg Config) (*Device, error) {
 	return &Device{
 		cfg:     cfg,
 		print:   cfg.Fingerprint(),
+		cold:    coldTable(&cfg),
 		byPrint: lru.New[uint64, *planInfo](DefaultPlanCacheCap),
 	}, nil
 }
@@ -140,6 +142,13 @@ func (d *Device) LatencyMs(g *graph.Graph) float64 {
 // repeated timed inferences on real hardware do. The execution plan is
 // shared, immutable cache state; only the run counter and noise stream
 // are per-session.
+//
+// A measurement protocol pays only for what its results depend on.
+// Warm-up runs whose latencies are discarded only advance the noise
+// stream (Skip), and profiled runs add each row's time into the
+// caller's per-row sums (AccumulateProfiled) rather than materializing
+// a table per run. Both consume exactly the draws a timed run would,
+// in the same order, so every later run sees the same noise.
 type Session struct {
 	dev  *Device
 	g    *graph.Graph
@@ -166,13 +175,41 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // Runs returns the number of inferences executed so far.
 func (s *Session) Runs() int { return s.runs }
 
-// coldFactor models the warm-up transient of run k.
-func (s *Session) coldFactor() float64 {
-	c := &s.dev.cfg
+// coldTableCap bounds a device's warm-up factor table (8 KB).
+const coldTableCap = 1024
+
+// coldTable precomputes the warm-up factor 1 + ColdPenalty*exp(-k/ColdRuns)
+// for runs k = 0, 1, ... up to and including the first run whose factor
+// is exactly 1, or coldTableCap entries, whichever is shorter. The
+// factor never increases, so once it is exactly 1 it stays 1. A device
+// with no warm-up transient gets an empty table.
+func coldTable(c *Config) []float64 {
 	if c.ColdPenalty == 0 {
+		return nil
+	}
+	var tab []float64
+	for k := 0; k < coldTableCap; k++ {
+		f := 1 + c.ColdPenalty*math.Exp(-float64(k)/c.ColdRuns)
+		tab = append(tab, f)
+		if f == 1 {
+			break
+		}
+	}
+	return tab
+}
+
+// coldFactor models the warm-up transient of run k: a table lookup
+// while the transient lasts, exactly 1 once it has decayed, and the
+// formula itself past a table that hit coldTableCap.
+func (d *Device) coldFactor(k int) float64 {
+	if k < len(d.cold) {
+		return d.cold[k]
+	}
+	if len(d.cold) < coldTableCap {
 		return 1
 	}
-	return 1 + c.ColdPenalty*math.Exp(-float64(s.runs)/c.ColdRuns)
+	c := &d.cfg
+	return 1 + c.ColdPenalty*math.Exp(-float64(k)/c.ColdRuns)
 }
 
 // runNoise is the per-run global noise factor (clock and DVFS jitter
@@ -189,7 +226,7 @@ func (s *Session) kernelNoise() float64 {
 // InferMs executes one inference and returns its measured latency in
 // milliseconds, including warm-up and noise effects.
 func (s *Session) InferMs() float64 {
-	cold := s.coldFactor()
+	cold := s.dev.coldFactor(s.runs)
 	run := s.runNoise()
 	s.runs++
 	total := 0.0
@@ -197,6 +234,16 @@ func (s *Session) InferMs() float64 {
 		total += b * s.kernelNoise()
 	}
 	return total * run * cold
+}
+
+// Skip advances the session by n runs whose latencies nobody reads, as
+// a warm-up does: it consumes the run's and every kernel's noise draw,
+// exactly as InferMs would, and counts the runs, but times nothing.
+func (s *Session) Skip(n int) {
+	for i := n * (1 + len(s.info.baseMs)); i > 0; i-- {
+		s.rng.NormFloat64()
+	}
+	s.runs += n
 }
 
 // LayerTimeMs is one row of a per-layer profiling table.
@@ -207,6 +254,20 @@ type LayerTimeMs struct {
 	Ms     float64
 }
 
+// Layers returns the identity of every profiled row, in the order
+// AccumulateProfiled and InferProfiledMs report them (plan order), with
+// Ms zero.
+func (s *Session) Layers() []LayerTimeMs {
+	rows := make([]LayerTimeMs, 0, s.info.rows)
+	for _, tmpl := range s.info.rowTmpl {
+		for ri := range tmpl {
+			r := &tmpl[ri]
+			rows = append(rows, LayerTimeMs{NodeID: r.nodeID, Name: r.name, Kind: r.kind})
+		}
+	}
+	return rows
+}
+
 // InferProfiledMs executes one inference with per-layer event recording,
 // returning a per-layer latency table and the end-to-end latency the
 // run would have had without events. Kernel time is attributed to its
@@ -215,30 +276,34 @@ type LayerTimeMs struct {
 // which is why the table's sum slightly exceeds the end-to-end latency,
 // the effect Eq. (1) divides away.
 func (s *Session) InferProfiledMs() ([]LayerTimeMs, float64) {
-	return s.InferProfiledInto(make([]LayerTimeMs, 0, s.info.rows))
+	rows := s.Layers()
+	sums := make([]float64, len(rows))
+	total := s.AccumulateProfiled(sums)
+	for ri := range rows {
+		rows[ri].Ms = sums[ri]
+	}
+	return rows, total
 }
 
-// InferProfiledInto is InferProfiledMs appending into rows (which it
-// returns re-sliced), so a measurement-protocol loop can reuse one
-// buffer across its hundreds of runs. Pass rows[:0] to recycle.
-func (s *Session) InferProfiledInto(rows []LayerTimeMs) ([]LayerTimeMs, float64) {
-	cold := s.coldFactor()
+// AccumulateProfiled executes one profiled inference, as InferProfiledMs
+// does, but adds each row's time into sums[i] (row i in Layers order)
+// instead of returning a table; it returns the run's end-to-end latency.
+// A protocol loop summing hundreds of runs thus allocates nothing per
+// run. sums must have one slot per row.
+func (s *Session) AccumulateProfiled(sums []float64) float64 {
+	cold := s.dev.coldFactor(s.runs)
 	run := s.runNoise()
 	s.runs++
 	total := 0.0
 	ev := s.dev.cfg.EventOverheadMs
+	i := 0
 	for ki, tmpl := range s.info.rowTmpl {
 		t := s.info.baseMs[ki] * s.kernelNoise() * run * cold
 		total += t
 		for ri := range tmpl {
-			r := &tmpl[ri]
-			rows = append(rows, LayerTimeMs{
-				NodeID: r.nodeID,
-				Name:   r.name,
-				Kind:   r.kind,
-				Ms:     t*r.share + ev*(1+0.1*s.rng.NormFloat64()),
-			})
+			sums[i] += t*tmpl[ri].share + ev*(1+0.1*s.rng.NormFloat64())
+			i++
 		}
 	}
-	return rows, total
+	return total
 }

@@ -7,6 +7,14 @@
 // event-style instrumentation, whose overhead makes the table sum
 // slightly exceed the end-to-end latency — the effect the profiler-based
 // estimator's ratio formulation (Eq. 1) cancels.
+//
+// A cold measurement costs what the protocol's results depend on: its
+// noise draws. Warm-up runs, whose latencies the protocol discards,
+// only advance the session's noise stream (device.Session.Skip), and a
+// profiled run adds each layer's time into per-layer sums
+// (device.Session.AccumulateProfiled) rather than materializing a
+// table row per layer per run. Both consume the same draws in the same
+// order as timing every run, so results are bit-identical to doing so.
 package profiler
 
 import (
@@ -253,9 +261,7 @@ func (p *Profiler) Measure(g *graph.Graph) Measurement {
 
 func (p *Profiler) measure(g *graph.Graph) Measurement {
 	s := p.dev.Open(g, sessionSeed(p.seed, g.Name))
-	for i := 0; i < p.proto.WarmupRuns; i++ {
-		s.InferMs()
-	}
+	s.Skip(p.proto.WarmupRuns)
 	lat := make([]float64, p.proto.TimedRuns)
 	for i := range lat {
 		lat[i] = s.InferMs()
@@ -279,40 +285,28 @@ func (p *Profiler) Profile(g *graph.Graph) *Table {
 
 func (p *Profiler) profile(g *graph.Graph) *Table {
 	s := p.dev.Open(g, sessionSeed(p.seed, g.Name))
-	for i := 0; i < p.proto.WarmupRuns; i++ {
-		s.InferMs()
-	}
+	s.Skip(p.proto.WarmupRuns)
 	// The execution plan — and therefore the profiled row order — is
-	// identical on every run, so the first run fixes the layer order and
-	// the remaining runs accumulate positionally, with no map ops in the
-	// hot loop.
+	// identical on every run, so every run adds into the same per-row
+	// sums and no run materializes a table.
+	rows := s.Layers()
+	sums := make([]float64, len(rows))
 	var endToEnd float64
-	var rows []device.LayerTimeMs
-	var sums []float64
 	for i := 0; i < p.proto.TimedRuns; i++ {
-		var total float64
-		rows, total = s.InferProfiledInto(rows[:0])
-		endToEnd += total
-		if sums == nil {
-			sums = make([]float64, len(rows))
-		}
-		for ri := range rows {
-			sums[ri] += rows[ri].Ms
-		}
+		endToEnd += s.AccumulateProfiled(sums)
 	}
 	tbl := &Table{
 		Network:    g.Name,
 		EndToEndMs: endToEnd / float64(p.proto.TimedRuns),
-		Layers:     make([]LayerStat, 0, len(rows)),
+		Layers:     make([]LayerStat, len(rows)),
 	}
-	for ri := range rows {
-		r := &rows[ri]
-		tbl.Layers = append(tbl.Layers, LayerStat{
+	for ri, r := range rows {
+		tbl.Layers[ri] = LayerStat{
 			NodeID: r.NodeID,
 			Name:   r.Name,
 			Kind:   r.Kind,
 			MeanMs: sums[ri] / float64(p.proto.TimedRuns),
-		})
+		}
 	}
 	if err := tbl.indexLayers(); err != nil {
 		panic(err) // the device profiles each non-input node exactly once

@@ -33,8 +33,11 @@ OUT="$OUT_DIR/BENCH_${DATE}.json"
 # (snapshot codec bytes + ns). -benchmem adds B/op and allocs/op to
 # every entry so allocation regressions (a copy creeping back onto the
 # byte-cache hit path, a reflective codec) show in the drift log too.
-RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl' \
-  -benchtime="$BENCHTIME" -benchmem . | grep -E '^Benchmark')"
+# The Profiler pattern picks up the measurement-protocol layer in
+# ./internal/profiler: ProfilerMeasureCold and ProfilerProfileCold, one
+# cold Measure or Profile (the paper's 200+800-run protocol) per op.
+RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl|Profiler' \
+  -benchtime="$BENCHTIME" -benchmem . ./internal/profiler | grep -E '^Benchmark')"
 
 {
   echo "{"
