@@ -113,7 +113,7 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
 		batch        = flag.Int("batch", 0, "max requests per batched planner pass (0 = default)")
 		batchWindow  = flag.Duration("batch-window", 0, "how long a worker holds a drained burst open for staggered arrivals (0 = no window)")
-		workers      = flag.Int("workers", 0, "batch worker goroutines (0 = default)")
+		workers      = flag.Int("workers", 0, "batch worker goroutines in total, divided across the device lanes (0 = GOMAXPROCS workers per device lane)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
 		shedMin      = flag.Int("shed-min-samples", 0, "warm executions required before budget shedding activates (0 = default)")
 		byteCache    = flag.Int("byte-cache", netcut.DefaultByteCacheCap, "rendered-response byte cache entries (0 = disabled)")

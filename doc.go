@@ -114,6 +114,8 @@
 // layer graphs (schema: internal/gateway wire format). The body is
 // size-limited and the decoded graph stops at graph.Validate —
 // malformed or oversized input is a structured 4xx, never a panic.
+// The body decoder is a single reflection-free pass that accepts
+// exactly what encoding/json accepts, with the identical result.
 //
 // Admission is deadline-aware in four stages. A repeat of an already
 // delivered request — same resolved device, name, structure, deadline
@@ -212,7 +214,9 @@
 // The gateway's admission machinery is one bounded lane — queue plus
 // workers — per registered device, with the configured QueueDepth and
 // Workers totals divided evenly across lanes (minimum 1 each, the pool
-// cache-cap division rule). Lane assignment is the resolved-device
+// cache-cap division rule). With no Workers total configured, each
+// lane gets GOMAXPROCS workers, so one device's cold plans can use
+// every core. Lane assignment is the resolved-device
 // routing decision, so lanes shift which worker runs an execution and
 // when, never what it returns, and one target's cold plan cannot
 // head-of-line-block another target's warm traffic.

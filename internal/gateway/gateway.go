@@ -45,7 +45,8 @@
 //     SelectBatch planner pass. Lane capacities divide the configured
 //     QueueDepth/Workers totals evenly across devices (minimum 1
 //     each), the same division rule the planner pool applies to its
-//     cache caps.
+//     cache caps; with no Workers total configured, each lane gets
+//     GOMAXPROCS workers.
 //  7. Drain: Shutdown stops admission (503 + Retry-After derived from
 //     the remaining drain budget — byte-cache hits stop too), lets
 //     every queued call finish and deliver, then stops every lane's
@@ -150,7 +151,9 @@ type Config struct {
 	BatchMax int
 	// Workers is the total number of batch workers, divided evenly
 	// across the per-device lanes (minimum 1 each) so no device is ever
-	// without a worker. 0 means DefaultWorkers.
+	// without a worker. 0 gives every lane runtime.GOMAXPROCS(0)
+	// workers, GOMAXPROCS x lanes in total, so one device's cold plans
+	// can use every core.
 	Workers int
 	// StatePath enables warm-state persistence: POST /v1/state/save
 	// atomically writes the pool's snapshot there (and cmd/netserve
@@ -280,7 +283,6 @@ const (
 	DefaultMaxBodyBytes    = 1 << 20 // 1 MiB: ~10x the largest zoo graph's wire form
 	DefaultQueueDepth      = 256
 	DefaultBatchMax        = 16
-	DefaultWorkers         = 2
 	DefaultShedMinSamples  = 64
 	DefaultUnhealthyAfter  = 3
 	DefaultProbeInterval   = 500 * time.Millisecond
@@ -376,9 +378,6 @@ func (c *Config) fill() error {
 	}
 	if c.BatchMax == 0 {
 		c.BatchMax = DefaultBatchMax
-	}
-	if c.Workers == 0 {
-		c.Workers = DefaultWorkers
 	}
 	if c.ShedMinSamples == 0 {
 		c.ShedMinSamples = DefaultShedMinSamples
@@ -533,7 +532,8 @@ type Gateway struct {
 	lanes map[string]*lane // one per registered device
 
 	// laneQueueCap / laneWorkers are the per-lane slices of the
-	// configured QueueDepth / Workers totals.
+	// configured QueueDepth / Workers totals (laneWorkers is GOMAXPROCS
+	// when no Workers total is configured).
 	laneQueueCap int
 	laneWorkers  int
 
@@ -732,15 +732,17 @@ func New(cfg Config) (*Gateway, error) {
 	// worker totals divide evenly across lanes (minimum 1 each, the
 	// same division rule the planner pool applies to cache caps), and
 	// each lane's queue depth and queue_full sheds are device-labeled
-	// series on the shared registry.
+	// series on the shared registry. Without a configured worker total,
+	// each lane gets one worker per core: a planner pass is CPU-bound,
+	// so that is what lets two cold plans for one device run at once.
 	names := pool.DeviceNames()
 	g.laneQueueCap = cfg.QueueDepth / len(names)
 	if g.laneQueueCap < 1 {
 		g.laneQueueCap = 1
 	}
-	g.laneWorkers = cfg.Workers / len(names)
-	if g.laneWorkers < 1 {
-		g.laneWorkers = 1
+	g.laneWorkers = runtime.GOMAXPROCS(0)
+	if cfg.Workers > 0 {
+		g.laneWorkers = max(cfg.Workers/len(names), 1)
 	}
 	g.lanes = make(map[string]*lane, len(names))
 	g.health = make(map[string]*deviceHealth, len(names))
@@ -1325,31 +1327,31 @@ func (g *Gateway) admitOn(dec *decodedRequest, planner *serve.Planner, shedCheck
 	// coalescing identity (dec.key was computed before it existed).
 	c.req.Trace = c.notePhase
 	c.waiters.Store(1) // the leader
-	// The enqueue mark's clock read sets the trace cursor to the instant
-	// admission hands the call off — where the queue-wait span stitched
-	// in after delivery begins. It is read before the send: once the
-	// call is on the queue a worker may start executing it before this
-	// goroutine runs again.
-	handoff := time.Now()
-	select {
-	case l.queue <- c:
+	// The enqueue mark sets the trace cursor to the instant admission
+	// hands the call off — where the queue-wait span stitched in after
+	// delivery begins. It is recorded before the send: once the call is
+	// on the queue a worker may start executing it, and /debug/requests
+	// may show it, before this goroutine runs again. Every send to a
+	// lane happens here under g.mu, so a slot free now is free for the
+	// send.
+	if len(l.queue) < cap(l.queue) {
+		tr.Mark(stageEnqueue, verdictOK)
+		l.queue <- c
 		g.inflight[dec.key] = c
 		g.pending.Add(1)
-		tr.MarkAt(handoff, stageEnqueue, verdictOK)
 		return c, nil
-	default:
-		tr.Mark(stageEnqueue, "full")
-		l.shedQueue.Inc()
-		e := errf(http.StatusTooManyRequests, "queue_full",
-			"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
-		// A full lane means a backlog of whole execution waves stands
-		// between this client and service: ceil(backlog / workers)
-		// passes of roughly (p99 + window) each — not one request's
-		// worth, which is what this hint used to claim.
-		p99, _ := planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
-		return nil, e
 	}
+	tr.Mark(stageEnqueue, "full")
+	l.shedQueue.Inc()
+	e := errf(http.StatusTooManyRequests, "queue_full",
+		"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
+	// A full lane means a backlog of whole execution waves stands
+	// between this client and service: ceil(backlog / workers)
+	// passes of roughly (p99 + window) each — not one request's
+	// worth, which is what this hint used to claim.
+	p99, _ := planner.WarmQuantile(0.99)
+	e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
+	return nil, e
 }
 
 // worker drains one device's admission lane: one blocking receive, a

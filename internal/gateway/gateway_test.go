@@ -450,6 +450,10 @@ func TestGatewayRejectsMalformed(t *testing.T) {
 			http.StatusBadRequest, "invalid_graph"},
 		{"oversized", `{"graph":{"name":"` + strings.Repeat("x", 4096) + `"}}`,
 			http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"oversized-space-padding", `{"network":"ResNet-50"}` + strings.Repeat(" ", 4096),
+			http.StatusRequestEntityTooLarge, "body_too_large"},
+		{"oversized-garbage-padding", `{"network":"ResNet-50"}` + strings.Repeat("x", 4096),
+			http.StatusRequestEntityTooLarge, "body_too_large"},
 	}
 	for _, tc := range cases {
 		rec := post(g, tc.body)

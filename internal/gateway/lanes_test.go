@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"netcut/internal/device"
+	"netcut/internal/faultinject"
 	"netcut/internal/persist"
 	"netcut/internal/serve"
 	"netcut/internal/trim"
@@ -115,6 +117,60 @@ func TestGatewayLaneCapsDivide(t *testing.T) {
 	defer mustShutdown(t, gs)
 	if gs.laneQueueCap != 1 || gs.laneWorkers != 1 {
 		t.Fatalf("small lane caps %d/%d, want 1/1", gs.laneQueueCap, gs.laneWorkers)
+	}
+}
+
+// TestGatewayDefaultLaneWorkers pins the derived default: with no
+// configured Workers total, every lane of the default four-device
+// gateway gets GOMAXPROCS workers.
+func TestGatewayDefaultLaneWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		g, err := New(quickConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.lanes) != 4 || g.laneWorkers != procs {
+			t.Fatalf("GOMAXPROCS %d: %d lanes of %d workers, want 4 of %d", procs, len(g.lanes), g.laneWorkers, procs)
+		}
+		mustShutdown(t, g)
+	}
+}
+
+// TestGatewayDefaultLaneRunsColdPlansConcurrently pins what the
+// derived default buys: on a multi-core host, a second cold request
+// for a device starts executing while the first one's pass is still
+// running, instead of queueing behind it.
+func TestGatewayDefaultLaneRunsColdPlansConcurrently(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	defer faultinject.Reset()
+	g, err := New(quickConfig(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+
+	// The first pass is held inside the planner for hold; one worker
+	// per lane could start the second pass only after that.
+	const hold = 2 * time.Second
+	faultinject.ArmDelay(faultinject.ExecDelay, "user-net-0", 1, hold)
+	started := make(chan time.Time, 2)
+	g.testHookBatch = func(string, int) { started <- time.Now() }
+	first, second := graphBody(t, userNet(0), 0.35, ""), graphBody(t, userNet(1), 0.35, "")
+	codes := make(chan int, 2)
+	go func() { codes <- post(g, first).Code }()
+	t0 := <-started
+	go func() { codes <- post(g, second).Code }()
+	if d := (<-started).Sub(t0); d >= hold {
+		t.Fatalf("second cold request started %v after the first, which was held %v: the lane ran them one after the other", d, hold)
+	}
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("cold request: status %d", code)
+		}
 	}
 }
 

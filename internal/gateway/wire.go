@@ -3,9 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -536,27 +534,9 @@ type coalesceKey struct {
 	estimator string
 }
 
-// decodeRequest parses and validates one request body. It never panics
-// on arbitrary input (fuzzed), and everything it accepts is safe to
-// hand to the planner. Oversized bodies surface as 413 when body is an
-// http.MaxBytesReader.
-func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
-	var wire PlanRequestWire
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&wire); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return nil, errf(http.StatusRequestEntityTooLarge, "body_too_large",
-				"request body exceeds %d bytes", maxErr.Limit)
-		}
-		return nil, errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
-	}
-	// Trailing garbage after the JSON value is a malformed request, not
-	// a second request.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, errf(http.StatusBadRequest, "invalid_json", "trailing data after request body")
-	}
-
+// requestFromWire validates a decoded body into the planner's request
+// and the identity the gateway coalesces on.
+func requestFromWire(wire *PlanRequestWire) (*decodedRequest, *apiError) {
 	switch wire.Estimator {
 	case "":
 		// The planner treats empty as profiler; normalize so both

@@ -36,8 +36,12 @@ OUT="$OUT_DIR/BENCH_${DATE}.json"
 # The Profiler pattern picks up the measurement-protocol layer in
 # ./internal/profiler: ProfilerMeasureCold and ProfilerProfileCold, one
 # cold Measure or Profile (the paper's 200+800-run protocol) per op.
-RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl|Profiler' \
-  -benchtime="$BENCHTIME" -benchmem . ./internal/profiler | grep -E '^Benchmark')"
+# The DecodeRequest pattern picks up the request-decode layer in
+# ./internal/gateway: DecodeRequest/network (zoo shorthand) and
+# DecodeRequest/graph (a 90-node encoded graph), body read through
+# graph validation.
+RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl|Profiler|DecodeRequest' \
+  -benchtime="$BENCHTIME" -benchmem . ./internal/profiler ./internal/gateway | grep -E '^Benchmark')"
 
 {
   echo "{"
